@@ -508,25 +508,29 @@ def cmd_estimate(config_path: Path, out_dir: Path) -> int:
     basis = _parse_basis(data.get("basis"), "config.basis", obs.grid.t_end, default_seed)
     grids = _parse_reg_grids(data.get("reg_grids"), "config.reg_grids", obs.grid.t_end)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_observation(obs, out_dir / "observation.csv")
-
+    # nothing is written before the pipeline has accepted the grids
+    failure = None
     try:
         report = run_pipeline(obs, basis, grids, log_selection=log_selection)
     except SelectionFailureError as exc:
-        diag = exc.diagnostics or {}
+        failure = exc
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from None
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_observation(obs, out_dir / "observation.csv")
+    if failure is not None:
+        diag = failure.diagnostics or {}
         if diag:
             write_diagnostics(
                 out_dir / "diagnostics.csv", diag["grids"],
                 diag["ratio_table"], diag["log_table"],
                 diag["ratio_failed"], diag["log_failed"],
             )
-        payload = {"error": "selection failure", "message": str(exc)}
+        payload = {"error": "selection failure", "message": str(failure)}
         (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"selection failure: {exc}", file=sys.stderr)
+        print(f"selection failure: {failure}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from None
 
     write_diagnostics(
         out_dir / "diagnostics.csv", report.grids,

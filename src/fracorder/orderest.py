@@ -18,16 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fracorder.concurrency import ordered_map
-from fracorder.fraccalc import PowerSum
 from fracorder.obsmodel import FdoDescriptor, FdoKind, Observation
-from fracorder.regbasis import BasisSpec
+from fracorder.regbasis import BasisSpec, antideriv_basis, eval_basis
 from fracorder.tikhonov import (
     FitModel,
-    fit,
+    fit_all,
     model_eval,
     model_integral,
     model_integral_weighted,
+    weighted_integral_table,
 )
 
 __all__ = [
@@ -98,34 +97,80 @@ def _use_weighted_form(fdo: FdoDescriptor) -> bool:
     return fdo.kind is FdoKind.TYPE_II and not fdo.r0.is_constant()
 
 
-def ratio_estimate(m: FitModel, psi0: float, fdo: FdoDescriptor, that: float) -> float:
-    """Ratio estimator at probe time ``that``, using exact model integrals."""
+def _probe_scale(
+    fdo: FdoDescriptor, psi0: float, thats: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Factor on the model value per probe and the offset subtracted from it.
+
+    ``(r0(that), r0(0) psi0)`` in the weighted form, ``(1, psi0)`` otherwise,
+    so ``scale * psi - offset`` is the deviation both estimators read.
+    """
     if _use_weighted_form(fdo):
         r0 = fdo.r0
-        num = that * (r0(that) * model_eval(m, that) - r0(0.0) * psi0)
-        den = model_integral_weighted(m, r0, that) - r0(0.0) * psi0 * that
+        return np.array([r0(that) for that in thats]), r0(0.0) * psi0
+    return np.ones(len(thats)), psi0
+
+
+def _ratio_kernel(
+    values: np.ndarray,
+    integrals: np.ndarray,
+    psi0: float,
+    fdo: FdoDescriptor,
+    thats: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ratio estimates and degeneracy mask; rows are fits, columns probes."""
+    scale, offset = _probe_scale(fdo, psi0, thats)
+    num = thats * (scale * values - offset)
+    den = integrals - offset * thats
+    bad = np.abs(den) < 1e-300
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(bad, math.nan, num / den - 1.0), bad
+
+
+def _log_kernel(
+    values: np.ndarray, psi0: float, fdo: FdoDescriptor, thats: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log estimates and ``ln 0`` mask; rows are fits, columns probes."""
+    if thats.max() >= 1.0:
+        raise ValueError(
+            f"log_estimate requires that < 1, got {float(thats.max())!r}"
+        )
+    scale, offset = _probe_scale(fdo, psi0, thats)
+    arg = np.abs(scale * values - offset)
+    bad = arg == 0.0
+    # math.log per entry: np.log differs from it in the last bit
+    logs = [math.log(a) if a else math.nan for a in arg.ravel().tolist()]
+    ln_that = np.array([math.log(that) for that in thats.tolist()])
+    return np.reshape(logs, arg.shape) / ln_that, bad
+
+
+def ratio_estimate(m: FitModel, psi0: float, fdo: FdoDescriptor, that: float) -> float:
+    """Ratio estimator at probe time ``that``, using exact model integrals."""
+    value = model_eval(m, that)
+    if _use_weighted_form(fdo):
+        integral = model_integral_weighted(m, fdo.r0, that)
     else:
-        num = that * (model_eval(m, that) - psi0)
-        den = model_integral(m, that) - psi0 * that
-    if abs(den) < 1e-300:
+        integral = model_integral(m, that)
+    tab, bad = _ratio_kernel(
+        np.array([[value]]), np.array([[integral]]), psi0, fdo, np.array([that])
+    )
+    if bad[0, 0]:
         raise DegenerateEstimateError(
             f"ratio denominator below 1e-300 at that={that!r}"
         )
-    return num / den - 1.0
+    return float(tab[0, 0])
 
 
 def log_estimate(m: FitModel, psi0: float, fdo: FdoDescriptor, that: float) -> float:
     """Logarithmic comparator ``ln|psi - psi0| / ln that``; needs that < 1."""
     if that >= 1.0:
         raise ValueError(f"log_estimate requires that < 1, got {that!r}")
-    if _use_weighted_form(fdo):
-        r0 = fdo.r0
-        arg = abs(r0(that) * model_eval(m, that) - r0(0.0) * psi0)
-    else:
-        arg = abs(model_eval(m, that) - psi0)
-    if arg == 0.0:
+    tab, bad = _log_kernel(
+        np.array([[model_eval(m, that)]]), psi0, fdo, np.array([that])
+    )
+    if bad[0, 0]:
         raise DegenerateEstimateError(f"zero ln argument at that={that!r}")
-    return math.log(arg) / math.log(that)
+    return float(tab[0, 0])
 
 
 def quasi_opt_select(table: np.ndarray, failed: np.ndarray) -> tuple[int, int]:
@@ -243,31 +288,16 @@ def run_pipeline(
         )
     fdo.require_positive_leading_coefficient(spec.t_end)
 
-    models = ordered_map(lambda lam: fit(obs, spec, lam), lambdas)
+    coeffs = np.array([m.coeffs for m in fit_all(obs, spec, lambdas)])
+    probes = np.array(thats)
+    values = coeffs @ np.array([eval_basis(spec, that) for that in thats]).T
+    if _use_weighted_form(fdo):
+        integrals = weighted_integral_table(coeffs, spec, fdo.r0, thats)
+    else:
+        integrals = coeffs @ np.array([antideriv_basis(spec, that) for that in thats]).T
+    ratio_tab, ratio_bad = _ratio_kernel(values, integrals, obs.psi0, fdo, probes)
+    log_tab, log_bad = _log_kernel(values, obs.psi0, fdo, probes)
 
-    k1, k2 = grids.k1, grids.k2
-    ratio_tab = np.full((k1, k2), math.nan)
-    log_tab = np.full((k1, k2), math.nan)
-    ratio_bad = np.zeros((k1, k2), dtype=bool)
-    log_bad = np.zeros((k1, k2), dtype=bool)
-    for i, m in enumerate(models):
-        for j, that in enumerate(thats):
-            try:
-                ratio_tab[i, j] = ratio_estimate(m, obs.psi0, fdo, that)
-            except DegenerateEstimateError:
-                ratio_bad[i, j] = True
-            try:
-                log_tab[i, j] = log_estimate(m, obs.psi0, fdo, that)
-            except DegenerateEstimateError:
-                log_bad[i, j] = True
-
-    diagnostics = {
-        "ratio_table": _as_nested(ratio_tab),
-        "log_table": _as_nested(log_tab),
-        "ratio_failed": _as_nested(ratio_bad),
-        "log_failed": _as_nested(log_bad),
-        "grids": grids,
-    }
     inside = np.s_[:, :n_inside]
     try:
         ratio_idx = quasi_opt_select(ratio_tab[inside], ratio_bad[inside])
@@ -280,6 +310,13 @@ def run_pipeline(
                     "ratio-selected cell is degenerate for the log estimator"
                 )
     except SelectionFailureError as exc:
+        diagnostics = {
+            "ratio_table": _as_nested(ratio_tab),
+            "log_table": _as_nested(log_tab),
+            "ratio_failed": _as_nested(ratio_bad),
+            "log_failed": _as_nested(log_bad),
+            "grids": grids,
+        }
         raise SelectionFailureError(str(exc), diagnostics) from None
 
     ri, rj = ratio_idx

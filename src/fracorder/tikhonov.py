@@ -8,11 +8,11 @@ squared weighted norm of the trajectory, leading to the normal equations
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dsytrf, dsytrs
 
 from fracorder.fraccalc import PowerSum
 from fracorder.obsmodel import Observation
@@ -29,9 +29,11 @@ __all__ = [
     "SingularSystemError",
     "design_matrix",
     "fit",
+    "fit_all",
     "model_eval",
     "model_integral",
     "model_integral_weighted",
+    "weighted_integral_table",
 ]
 
 
@@ -72,47 +74,72 @@ def _data_vector(obs: Observation) -> np.ndarray:
     return np.array([obs.psi0, *obs.values])
 
 
-def fit(obs: Observation, spec: BasisSpec, lam: float) -> FitModel:
-    """Solve the regularized normal equations for the given penalty weight.
+def fit_all(
+    obs: Observation, spec: BasisSpec, lams: Iterable[float]
+) -> list[FitModel]:
+    """Solve the regularized normal equations once per penalty weight.
 
-    Uses a pivoted symmetric factorization with a couple of refinement
-    passes (residuals accumulated in extended precision); deterministic for
-    identical inputs.  ``lam`` must be strictly positive; the unpenalized
-    limit is exercised with tiny values instead.
+    ``Q``, ``E``, ``Q^T Q`` and ``Q^T p`` are built once for all weights.
+    Each ``Q^T Q + lam E`` is factored once (pivoted symmetric LDL^T,
+    LAPACK ``sytrf``); the factors serve the first solve and two refinement
+    passes whose residuals are accumulated in extended precision.
+    Deterministic for identical inputs.  Every ``lam`` must be strictly
+    positive; the unpenalized limit is exercised with tiny values instead.
     """
-    if not lam > 0:
-        raise ValueError(f"fit requires lam > 0, got {lam!r}")
+    lams = tuple(lams)
+    for lam in lams:
+        if not lam > 0:
+            raise ValueError(f"fit requires lam > 0, got {lam!r}")
     q = design_matrix(obs, spec)
     e = gram_matrix(spec)
     p = _data_vector(obs)
-    lhs = q.T @ q + lam * e
+    qtq = q.T @ q
     rhs = q.T @ p
+    return [_fit_one(q, p, qtq + lam * e, rhs, spec, lam) for lam in lams]
+
+
+def fit(obs: Observation, spec: BasisSpec, lam: float) -> FitModel:
+    """The fit for one penalty weight; see ``fit_all``."""
+    return fit_all(obs, spec, (lam,))[0]
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _fit_one(q, p, lhs, rhs, spec, lam) -> FitModel:
+    # LAPACK is called directly: scipy.linalg.solve (1.17) leaks about
+    # 0.7 KB per call on ill-conditioned matrices, and sytrf/sytrs (upper,
+    # default workspace) give the same bits as its assume_a="sym" path
+    _require_finite(lhs)
+    ldu, ipiv, info = dsytrf(lhs)
+    if info > 0:
+        raise SingularSystemError(
+            f"normal equations singular at lam={lam!r}: zero pivot {info}"
+        )
 
     def _solve(b: np.ndarray) -> np.ndarray:
-        with warnings.catch_warnings():
-            # deep-tail lam values are legitimately ill-conditioned; the
-            # quasi-optimality sweep relies on getting an answer anyway
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            try:
-                return scipy.linalg.solve(lhs, b, assume_a="sym")
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(
-                    f"normal equations singular at lam={lam!r}: {exc}"
-                ) from exc
+        _require_finite(b)
+        return dsytrs(ldu, ipiv, b)[0]
 
-    a = _solve(rhs)
-    # fixed two refinement passes, extended-precision residuals
     lhs_w = lhs.astype(np.longdouble)
     rhs_w = rhs.astype(np.longdouble)
-    best = a
-    best_res = float(np.linalg.norm((rhs_w - lhs_w @ a.astype(np.longdouble)).astype(float)))
+
+    def _residual(a: np.ndarray) -> np.ndarray:
+        return (rhs_w - lhs_w @ a.astype(np.longdouble)).astype(float)
+
+    best = _solve(rhs)
+    r = _residual(best)
+    best_res = float(np.linalg.norm(r))
+    # fixed two refinement passes, extended-precision residuals
     for _ in range(2):
-        r = (rhs_w - lhs_w @ best.astype(np.longdouble)).astype(float)
         cand = best + _solve(r)
-        res = float(np.linalg.norm((rhs_w - lhs_w @ cand.astype(np.longdouble)).astype(float)))
+        r_cand = _residual(cand)
+        res = float(np.linalg.norm(r_cand))
         if not np.all(np.isfinite(cand)) or res >= best_res:
             break
-        best, best_res = cand, res
+        best, best_res, r = cand, res, r_cand
     if not np.all(np.isfinite(best)):
         raise SingularSystemError(f"non-finite solution at lam={lam!r}")
     residual = float(np.linalg.norm(q @ best - p))
@@ -137,11 +164,27 @@ def model_integral_weighted(m: FitModel, r0: PowerSum, that: float) -> float:
     """Integral of ``r0 * model`` over [0, that], exact for polynomial r0."""
     if not 0.0 < that <= m.spec.t_end:
         raise ValueError(f"that={that!r} outside (0, {m.spec.t_end}]")
-    monomials = PowerSum(
-        tuple(
-            (coeff * c, e)
-            for coeff, fn in zip(m.coeffs, basis_functions(m.spec))
-            for c, e in fn.terms
-        )
-    )
-    return (r0 * monomials).antiderivative(that)
+    table = weighted_integral_table(np.array([m.coeffs]), m.spec, r0, (that,))
+    return float(table[0, 0])
+
+
+def weighted_integral_table(
+    coeffs: np.ndarray, spec: BasisSpec, r0: PowerSum, thats: Sequence[float]
+) -> np.ndarray:
+    """Integrals of ``r0 * model`` over [0, that]: one row per coefficient row.
+
+    Term by term as ``(r0 * model).antiderivative(that)`` expands it: r0
+    terms outer, basis monomials inner, added one after the other from 0.
+    Where the built-in ``sum`` adds sequentially (Python < 3.12) every
+    entry carries the bits of that ``PowerSum`` product.
+    """
+    total = np.zeros((len(coeffs), len(thats)))
+    for ca, ea in r0.terms:
+        for col, fn in zip(coeffs.T, basis_functions(spec)):
+            for cb, eb in fn.terms:
+                c = ca * (col * cb)
+                if not np.isfinite(c).all():
+                    raise ValueError("weighted integrand coefficient is not finite")
+                e1 = ea + eb + 1.0
+                total = total + c[:, None] * np.array([t**e1 for t in thats]) / e1
+    return total

@@ -104,6 +104,15 @@ def test_estimate_config_errors_name_the_offending_key(
     assert fragment in err
 
 
+def test_estimate_writes_nothing_on_a_config_error(tmp_path, capsys):
+    # the grids are only checked by the pipeline, after the observation exists
+    cfg = write_config(tmp_path, {**ESTIMATE_CONFIG, "reg_grids": {"xi2": 0.1}})
+    out = tmp_path / "out"
+    assert run(["estimate", "--config", cfg, "--out", out]) == 1
+    assert "first sample time" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_missing_config_file(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run(["estimate", "--config", missing, "--out", tmp_path]) == 1
@@ -132,6 +141,7 @@ def test_estimate_reports_selection_failure(tmp_path, capsys):
     assert "selection failure" in capsys.readouterr().err
     assert json.loads((out / "report.json").read_text())["error"] == "selection failure"
     assert (out / "diagnostics.csv").is_file()
+    assert (out / "observation.csv").is_file() and (out / "observation.json").is_file()
 
 
 def test_estimate_from_a_solved_fode(tmp_path):

@@ -25,8 +25,14 @@ from fracorder.orderest import (
     run_pipeline,
 )
 from fracorder.regbasis import BasisSpec, initial_power_exponents
-from fracorder.scenarios import run_sweep_cell, sweep_observation
-from fracorder.tikhonov import FitModel
+from fracorder.scenarios import run_sweep_cell, sweep_basis_spec, sweep_observation
+from fracorder.tikhonov import (
+    FitModel,
+    fit,
+    model_eval,
+    model_integral,
+    model_integral_weighted,
+)
 
 
 def power_model(nu, c=1.0, t_end=0.0021):
@@ -275,3 +281,51 @@ def test_sweep_cells_match_benchmark_pairs(sweep_id, nu0, noise, eps):
     ref_ratio, ref_log = expected_pair(sweep_id, nu0, noise, eps)
     assert abs(report.nu_ratio - ref_ratio) <= 0.02
     assert abs(report.nu_log - ref_log) <= 0.03
+
+
+def reference_estimates(m, psi0, fdo, that):
+    """The two estimator formulas entry by entry in Python floats."""
+    if fdo.kind is FdoKind.TYPE_II and not fdo.r0.is_constant():
+        r0 = fdo.r0
+        dev = r0(that) * model_eval(m, that) - r0(0.0) * psi0
+        den = model_integral_weighted(m, r0, that) - r0(0.0) * psi0 * that
+    else:
+        dev = model_eval(m, that) - psi0
+        den = model_integral(m, that) - psi0 * that
+    ratio = None if abs(den) < 1e-300 else that * dev / den - 1.0
+    log = None if dev == 0.0 else math.log(abs(dev)) / math.log(that)
+    return ratio, log
+
+
+@pytest.mark.parametrize("log_selection", ["independent", "reuse_ratio"])
+@pytest.mark.parametrize(
+    "sweep_id,cell",
+    [(1, (0.5, "N2", 0.3)), (2, (0.5, "N2", 0.3)), (3, (0.5, "N2", 0.04))],
+)
+def test_pipeline_tables_match_the_scalar_estimators(sweep_id, cell, log_selection):
+    # the pipeline builds its tables from matrix products; every entry must
+    # carry the bits of the scalar estimators on a per-weight fit, and of
+    # the formulas written out in Python floats
+    obs = sweep_observation(sweep_id, *cell)
+    spec = sweep_basis_spec(sweep_id, cell[0], obs.grid.t_end)
+    grids = default_grids(obs.grid.t_end)
+    fdo = obs.descriptor
+    if sweep_id == 2:
+        assert fdo.kind is FdoKind.TYPE_II and not fdo.r0.is_constant()
+    report = run_pipeline(obs, spec, grids, log_selection=log_selection)
+    tables = (
+        (ratio_estimate, report.ratio_table, report.ratio_failed),
+        (log_estimate, report.log_table, report.log_failed),
+    )
+    for i, lam in enumerate(grids.lambda_values()):
+        m = fit(obs, spec, lam)
+        for j, that in enumerate(grids.that_values()):
+            refs = reference_estimates(m, obs.psi0, fdo, that)
+            for (estimate, table, failed), ref in zip(tables, refs):
+                if failed[i][j]:
+                    assert ref is None
+                    with pytest.raises(DegenerateEstimateError):
+                        estimate(m, obs.psi0, fdo, that)
+                else:
+                    assert repr(table[i][j]) == repr(ref)
+                    assert repr(table[i][j]) == repr(estimate(m, obs.psi0, fdo, that))

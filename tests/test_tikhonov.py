@@ -1,6 +1,8 @@
 """Penalized least-squares fitting against high-precision linear algebra."""
 
+import gc
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -14,11 +16,19 @@ from fracorder.obsmodel import (
     TimeGrid,
     example71_observation,
 )
-from fracorder.regbasis import BasisSpec, basis_functions, gram_matrix
+from fracorder.regbasis import (
+    BasisSpec,
+    SingularBasisWarning,
+    basis_functions,
+    gram_matrix,
+)
+from fracorder.scenarios import sweep_basis_spec, sweep_observation
 from fracorder.tikhonov import (
     FitModel,
+    SingularSystemError,
     design_matrix,
     fit,
+    fit_all,
     model_eval,
     model_integral,
     model_integral_weighted,
@@ -181,3 +191,60 @@ def test_fit_model_validation():
         FitModel(spec, (math.nan, 0.0), 1e-3, 0.0)
     with pytest.raises(ValueError):
         FitModel(spec, (1.0, 0.0), 1e-3, -1.0)
+
+
+def test_weighted_integral_adds_the_power_sum_product_terms_in_order():
+    # the terms of r0 * model, integrated and added one after the other
+    obs, spec = stock_problem()
+    r0 = PowerSum(((1.5, 0.0), (-2.0, 1.0), (0.7, 2.0)))
+    monomials = lambda m: PowerSum(
+        tuple(
+            (coeff * c, e)
+            for coeff, fn in zip(m.coeffs, basis_functions(spec))
+            for c, e in fn.terms
+        )
+    )
+    for lam in (1e-3, 2.0**-55):
+        m = fit(obs, spec, lam)
+        for that in (spec.t_end, 0.0007, 3e-6):
+            expected = 0.0
+            for c, e in (r0 * monomials(m)).terms:
+                expected += c * that ** (e + 1.0) / (e + 1.0)
+            assert repr(model_integral_weighted(m, r0, that)) == repr(expected)
+
+
+def test_fit_all_matches_one_fit_per_weight():
+    obs, spec = stock_problem()
+    lams = (1.0, 1e-6, 2.0**-55)
+    assert fit_all(obs, spec, lams) == [fit(obs, spec, lam) for lam in lams]
+    with pytest.raises(ValueError):
+        fit_all(obs, spec, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-6, 2.0**-55])
+def test_duplicate_power_members_make_the_fit_singular(lam):
+    obs, _ = stock_problem()
+    spec = BasisSpec((0.4, 0.4, 0.2), t_end=obs.grid.t_end)
+    with pytest.warns(SingularBasisWarning), pytest.raises(SingularSystemError):
+        fit(obs, spec, lam)
+
+
+def test_repeated_deep_penalty_fits_do_not_leak():
+    # the deep end of the penalty sweep is ill-conditioned; the solver must
+    # not keep memory per call there
+    obs = sweep_observation(1, 0.5, "N2", 0.3)
+    spec = sweep_basis_spec(1, 0.5, obs.grid.t_end)
+    lam = 2.0**-55
+    tracemalloc.start()
+    try:
+        for _ in range(300):
+            fit(obs, spec, lam)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            fit(obs, spec, lam)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 256 * 1024
