@@ -317,6 +317,12 @@ def _parse_fode_block(data: Any, where: str) -> tuple[FodeProblem, float, bool]:
         problem = FodeProblem(fdo, kernel, f0, v0, tstar, nonlin)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    if "f0_file" in data:
+        # the solver needs the tabulation up to the horizon
+        try:
+            problem.forcing_at(tstar)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.f0_file: {exc}") from None
     return problem, step, verify
 
 
@@ -616,9 +622,9 @@ def _build_observation(
         raise ConfigError(f"config.fode.step: {exc}") from None
     noise = _parse_noise(data.get("noise"), "config.noise")
     nu0 = problem.fdo.nu0
+    sampled = np.interp(grid.points, solution.times, solution.values).tolist()
     values = tuple(
-        float(np.interp(t, solution.times, solution.values)) + noise_value(noise, t, nu0)
-        for t in grid.points
+        y + noise_value(noise, t, nu0) for t, y in zip(grid.points, sampled)
     )
     meta = ObservationMeta(scenario="fode", nu0_true=nu0, noise=noise)
     obs = Observation(grid, values, problem.v0, problem.fdo, meta)

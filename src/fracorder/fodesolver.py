@@ -4,12 +4,15 @@ Discretizes ``sum_i r_i(t) D^{nu_i} v + (K * v)(t) + v = f0(t) + f(t, v)``
 on a uniform grid: fractional derivatives by the piecewise-linear
 product-integration rule, the memory convolution by exact power-kernel
 moments, and the implicit scalar equation at each node by damped Newton
-iteration with a bisection fallback.  Also provides the order-recovery
-check that probes the computed trajectory with the ratio limit.
+iteration with a bisection fallback.  A tabulated forcing is interpolated
+linearly onto the marching grid once, before the march.  Also provides the
+order-recovery check that probes the computed trajectory with the ratio
+limit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -89,15 +92,25 @@ class FodeProblem:
     def forcing_at(self, t: float) -> float:
         if isinstance(self.f0, PowerSum):
             return self.f0(t)
-        times = np.asarray(self.f0.times)
-        if times[-1] < self.tstar - 1e-12 * self.tstar:
-            raise ValueError("tabulated forcing does not cover [0, tstar]")
-        return float(np.interp(t, times, np.asarray(self.f0.values)))
+        return float(_interp_forcing(self.f0, self.tstar, t))
+
+    def forcing_table(self, times: np.ndarray) -> list[float]:
+        """Forcing at every node time, equal to ``forcing_at`` node by node."""
+        if isinstance(self.f0, PowerSum):
+            return [float(self.f0(t)) for t in times]
+        return _interp_forcing(self.f0, self.tstar, times).tolist()
 
     def drift_numerator(self) -> float:
         """f0(0) + f(0, v0) - v0, the quantity whose sign gates recovery."""
         extra = 0.0 if self.nonlinearity is None else float(self.nonlinearity(0.0, self.v0))
         return self.forcing_at(0.0) + extra - self.v0
+
+
+def _interp_forcing(f0: SampledFunction, tstar: float, t):
+    # linear interpolation of a tabulation that must reach the horizon
+    if f0.times[-1] < tstar - 1e-12 * tstar:
+        raise ValueError("tabulated forcing does not cover [0, tstar]")
+    return np.interp(t, f0.times, f0.values)
 
 
 def initial_drift(problem: FodeProblem) -> float:
@@ -115,7 +128,7 @@ class FodeSolution:
     newton_iterations: tuple[int, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not all(np.isfinite(v) for v in self.values):
+        if not all(math.isfinite(v) for v in self.values):
             raise ValueError("solution values must be finite")
         if any(k > NEWTON_MAX_ITER for k in self.newton_iterations):
             raise ValueError("iteration counts exceed the Newton budget")
@@ -172,52 +185,63 @@ def solve(problem: FodeProblem, h: float) -> FodeSolution:
         (-1.0, nu, r)
         for nu, r in zip(problem.fdo.neg_orders, problem.fdo.neg_coefficients)
     ]
-    coeff_at = [
-        sign * np.array([r(t) for t in times]) for sign, _, r in branches
-    ]
-    weights = [_derivative_weights(nu, h, n_steps) for _, nu, _ in branches]
+    # per branch: signed coefficient at every node, lag weights, lag-0 weight
+    terms = []
+    for sign, nu, r in branches:
+        w = _derivative_weights(nu, h, n_steps)
+        terms.append(((sign * np.array([r(t) for t in times])).tolist(), w, float(w[0])))
     m0, m1 = _kernel_moments(problem.kernel, h, n_steps)
     # first moment recentered on the upper cell edge, per piecewise-linear cell
     a = (np.arange(1, n_steps + 1) * h) * m0 - m1
-    forcing = np.array([problem.forcing_at(t) for t in times])
+    a0h = float(a[0] / h)
+    forcing = problem.forcing_table(times)
+    node_times = times.tolist()
     nonlin = problem.nonlinearity
 
+    # v and the differences dv, dv / h grow one node at a time; the history
+    # sums stay numpy dot products against reversed (negative-stride) weight
+    # views, which numpy adds up in index order
     v = np.empty(n_steps + 1)
-    v[0] = problem.v0
+    dv = np.empty(n_steps)
+    dv_h = np.empty(n_steps)
+    prev = v[0] = float(problem.v0)
     iters = [0]
 
     for n in range(1, n_steps + 1):
-        dv = np.diff(v[:n])
         hist = 0.0
         lin = 1.0
-        for rvals, w in zip(coeff_at, weights):
+        for rvals, w, w0 in terms:
             rn = rvals[n]
-            hist += rn * (dv @ w[1:n][::-1] - w[0] * v[n - 1])
-            lin += rn * w[0]
-        hist += v[:n] @ m0[:n][::-1] + (dv / h) @ a[1:n][::-1]
-        hist -= (a[0] / h) * v[n - 1]
-        lin += a[0] / h
+            hist += rn * (float(dv[: n - 1] @ w[1:n][::-1]) - w0 * prev)
+            lin += rn * w0
+        hist += float(v[:n] @ m0[:n][::-1]) + float(dv_h[: n - 1] @ a[1:n][::-1])
+        hist -= a0h * prev
+        lin += a0h
         hist -= forcing[n]
-        tn = times[n]
+        tn = node_times[n]
 
         if nonlin is None:
             residual = lambda x: hist + lin * x
         else:
             residual = lambda x: hist + lin * x - nonlin(tn, x)
 
-        x, used = _solve_node(residual, v[n - 1], n)
-        if not np.isfinite(x):
+        x, used = _solve_node(residual, prev, n)
+        if not math.isfinite(x):
             raise DivergenceError(n, f"non-finite value {x!r}")
         v[n] = x
+        d = x - prev
+        dv[n - 1] = d
+        dv_h[n - 1] = d / h
+        prev = x
         iters.append(used)
 
-    return FodeSolution(float(h), tuple(float(x) for x in v), tuple(iters))
+    return FodeSolution(float(h), tuple(v.tolist()), tuple(iters))
 
 
 def _solve_node(residual: Callable[[float], float], warm: float, node: int) -> tuple[float, int]:
     x = warm
     fx = residual(x)
-    if not np.isfinite(fx):
+    if not math.isfinite(fx):
         raise DivergenceError(node, f"non-finite residual at the warm start ({fx!r})")
     used = 0
     for _ in range(NEWTON_MAX_ITER):
@@ -228,7 +252,7 @@ def _solve_node(residual: Callable[[float], float], warm: float, node: int) -> t
         dplus = residual(x + delta)
         dminus = residual(x - delta)
         deriv = (dplus - dminus) / (2.0 * delta)
-        if not np.isfinite(deriv) or deriv == 0.0:
+        if not math.isfinite(deriv) or deriv == 0.0:
             break
         step = fx / deriv
         accepted = False
@@ -236,7 +260,7 @@ def _solve_node(residual: Callable[[float], float], warm: float, node: int) -> t
         while damp >= 2.0 ** -20:
             cand = x - damp * step
             fc = residual(cand)
-            if np.isfinite(fc) and abs(fc) < abs(fx):
+            if math.isfinite(fc) and abs(fc) < abs(fx):
                 x, fx = cand, fc
                 accepted = True
                 break
@@ -252,7 +276,7 @@ def _bisect_node(residual: Callable[[float], float], warm: float, node: int) -> 
     half = 0.5 * max(1.0, abs(warm))
     lo, hi = warm - half, warm + half
     flo, fhi = residual(lo), residual(hi)
-    if not (np.isfinite(flo) and np.isfinite(fhi)):
+    if not (math.isfinite(flo) and math.isfinite(fhi)):
         raise DivergenceError(node, "non-finite residual on the bisection bracket")
     if flo == 0.0:
         return lo
@@ -263,7 +287,7 @@ def _bisect_node(residual: Callable[[float], float], warm: float, node: int) -> 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = residual(mid)
-        if not np.isfinite(fmid):
+        if not math.isfinite(fmid):
             raise DivergenceError(node, "non-finite residual during bisection")
         if abs(fmid) <= NEWTON_TOL or hi - lo <= 4 * np.finfo(float).eps * max(1.0, abs(mid)):
             return mid

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from fracorder.cli import main
+from fracorder.cli import _build_observation, _parse_fode_block, main
+from fracorder.fodesolver import solve
 from fracorder.fraccalc import gamma_fn
+from fracorder.obsmodel import NoiseKind, NoiseSpec, noise_value
 
 ESTIMATE_CONFIG = {
     "scenario": "example71",
@@ -165,6 +168,28 @@ def test_estimate_from_a_solved_fode(tmp_path):
     assert abs(report["nu_ratio"] - 0.5) <= 0.02
 
 
+def test_fode_observation_samples_the_solution_at_each_grid_point():
+    data = {
+        "scenario": "fode",
+        "fode": {
+            "fdo": {"orders": [0.5], "coefficients": [[[1.0, 0.0]]]},
+            "v0": 1.0,
+            "tstar": 0.0025,
+            "step": 6.25e-6,
+            "f0": [[2.0, 0.0], [1.0 / gamma_fn(1.5), 0.5]],
+        },
+        "noise": {"kind": "N2", "epsilon": 0.04},
+    }
+    obs, _ = _build_observation(data, "fode")
+    sol = solve(_parse_fode_block(data["fode"], "config.fode")[0], 6.25e-6)
+    noise = NoiseSpec(NoiseKind.N2, 0.04)
+    expected = [
+        float(np.interp(t, sol.times, sol.values)) + noise_value(noise, t, 0.5)
+        for t in obs.grid.points
+    ]
+    assert [v.hex() for v in obs.values] == [v.hex() for v in expected]
+
+
 # ---------------------------------------------------------------------------
 # table
 
@@ -278,3 +303,19 @@ def test_fode_config_errors(tmp_path, capsys):
     cfg = write_config(tmp_path, bad, name="c3.json")
     assert run(["fode", "--config", cfg, "--out", tmp_path / "o"]) == 1
     assert "unknown key 'extra'" in capsys.readouterr().err
+
+
+def test_short_forcing_tabulation_names_the_f0_file_key(tmp_path, capsys):
+    # the tabulation stops at t = 0.5 but the horizon is 1
+    (tmp_path / "forcing.csv").write_text("t,f\n0.0,2.0\n0.25,2.0\n0.5,2.0\n")
+    bad = fode_config()
+    del bad["fode"]["f0"]
+    bad["fode"]["f0_file"] = str(tmp_path / "forcing.csv")
+    cfg = write_config(tmp_path, bad)
+    assert run(["fode", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "config.fode.f0_file" in err and "cover" in err
+
+    assert run(["estimate", "--config", cfg, "--out", tmp_path / "e"]) == 1
+    err = capsys.readouterr().err
+    assert "config.fode.f0_file" in err and "cover" in err

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from fracorder.fraccalc import PowerSum, gamma_fn
+from fracorder import fodesolver
+from fracorder.fraccalc import PowerSum, SampledFunction, gamma_fn
 from fracorder.fodesolver import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     FodeProblem,
     FodeSolution,
     IdentifiabilityError,
@@ -68,6 +71,23 @@ def test_tabulated_forcing_must_cover_the_horizon():
     prob = FodeProblem(single_term(0.5), PowerSum(), short, 1.0, 1.0)
     with pytest.raises(ValueError, match="cover"):
         solve(prob, 1 / 8)
+
+
+def test_forcing_at_checks_the_tabulation_covers_the_horizon():
+    short = SampledFunction((0.0, 0.25, 0.5), (1.0, 1.0, 1.0))
+    prob = FodeProblem(single_term(0.5), PowerSum(), short, 1.0, 1.0)
+    with pytest.raises(ValueError, match="cover"):
+        prob.forcing_at(0.25)
+
+
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_forcing_table_equals_forcing_at_node_by_node(tabulated):
+    case = manufactured_power_case(0.4, nonlinearity="sin-damped" if tabulated else "none")
+    assert isinstance(case.problem.f0, SampledFunction) is tabulated
+    # a step that puts most nodes between tabulation points
+    times = np.arange(3001) * (1.0 / 3000)
+    table = case.problem.forcing_table(times)
+    assert [x.hex() for x in table] == [float(case.problem.forcing_at(t)).hex() for t in times]
 
 
 def test_solution_container_validation():
@@ -227,3 +247,92 @@ def test_nonlinearity_presets():
         nonlinearity_preset("polynomial")
     with pytest.raises(ValueError, match="unknown nonlinearity"):
         nonlinearity_preset("tanh")
+
+
+# ---------------------------------------------------------------------------
+# bitwise agreement with a straightforward per-node march
+
+
+def reference_solve(problem, h):
+    # node by node on numpy scalars: forcing looked up per node, the
+    # differences rebuilt by np.diff, damped Newton as in the solver
+    n_steps = int(round(problem.tstar / h))
+    times = np.arange(n_steps + 1) * h
+    branches = [(1.0, nu, r) for nu, r in zip(problem.fdo.orders, problem.fdo.coefficients)]
+    branches += [(-1.0, nu, r) for nu, r in zip(problem.fdo.neg_orders, problem.fdo.neg_coefficients)]
+    coeff_at = [sign * np.array([r(t) for t in times]) for sign, _, r in branches]
+    weights = [fodesolver._derivative_weights(nu, h, n_steps) for _, nu, _ in branches]
+    m0, m1 = fodesolver._kernel_moments(problem.kernel, h, n_steps)
+    a = (np.arange(1, n_steps + 1) * h) * m0 - m1
+    forcing = np.array([problem.forcing_at(t) for t in times])
+    nonlin = problem.nonlinearity or (lambda t, x: 0.0)
+    v = np.empty(n_steps + 1)
+    v[0] = problem.v0
+    iters = [0]
+    for n in range(1, n_steps + 1):
+        dv = np.diff(v[:n])
+        hist, lin = 0.0, 1.0
+        for rvals, w in zip(coeff_at, weights):
+            hist += rvals[n] * (dv @ w[1:n][::-1] - w[0] * v[n - 1])
+            lin += rvals[n] * w[0]
+        hist += v[:n] @ m0[:n][::-1] + (dv / h) @ a[1:n][::-1]
+        hist -= (a[0] / h) * v[n - 1]
+        lin += a[0] / h
+        hist -= forcing[n]
+        residual = lambda x: hist + lin * x - nonlin(times[n], x)
+        x, fx, used = v[n - 1], residual(v[n - 1]), 0
+        while abs(fx) > NEWTON_TOL:
+            used += 1
+            delta = 1e-7 * max(1.0, abs(x))
+            step = fx / ((residual(x + delta) - residual(x - delta)) / (2.0 * delta))
+            damp = 1.0
+            while not abs(residual(x - damp * step)) < abs(fx):
+                damp /= 2.0
+                assert damp >= 2.0 ** -20, "the reference march has no bisection fallback"
+            x = x - damp * step
+            fx = residual(x)
+            assert used <= NEWTON_MAX_ITER
+        v[n] = x
+        iters.append(used)
+    return tuple(float(x) for x in v), tuple(iters)
+
+
+def three_branch_problem(f0, nonlinearity=None):
+    # time-varying leading and subtracted coefficients, memory kernel
+    fdo = FdoDescriptor(
+        FdoKind.TYPE_I,
+        (0.6, 0.2),
+        (PowerSum(((1.0, 0.0), (0.3, 1.0))), PowerSum(((0.5, 0.0), (0.2, 0.5)))),
+        neg_orders=(0.3,),
+        neg_coefficients=(PowerSum(((0.25, 0.0), (0.1, 1.0))),),
+    )
+    kernel = PowerSum(((0.8, -1.0 / 3.0), (0.2, 0.5)))
+    return FodeProblem(fdo, kernel, f0, 1.0, 1.0, nonlinearity)
+
+
+def tabulated_forcing():
+    ts = np.linspace(0.0, 1.0, 1001)
+    return SampledFunction(tuple(ts.tolist()), tuple((2.0 + np.sin(3.0 * ts)).tolist()))
+
+
+BITWISE_CASES = {
+    "power/sin-damped": lambda: manufactured_power_case(0.4, nonlinearity="sin-damped").problem,
+    "smooth/polynomial": lambda: manufactured_smooth_case(
+        0.6, nonlinearity="polynomial", coefficients=(0.03, -0.07, -0.02)
+    ).problem,
+    "power/linear": lambda: manufactured_power_case(0.7).problem,
+    "three-branch/linear": lambda: three_branch_problem(PowerSum(((2.0, 0.0), (0.7, 0.4)))),
+    "three-branch/tabulated": lambda: three_branch_problem(
+        tabulated_forcing(), nonlinearity_preset("polynomial", (0.0, 0.1, -0.2))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_CASES))
+def test_solve_matches_the_per_node_reference_bitwise(name):
+    problem = BITWISE_CASES[name]()
+    assert problem.kernel.terms
+    sol = solve(problem, 1 / 256)
+    values, iters = reference_solve(problem, 1 / 256)
+    assert [x.hex() for x in sol.values] == [x.hex() for x in values]
+    assert sol.newton_iterations == iters
