@@ -260,6 +260,13 @@ def _parse_reg_grids(data: Any, where: str, t_end: float) -> RegGrids:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _require_regular_at_zero(ps: PowerSum, where: str) -> None:
+    # the solver evaluates the forcing and every coefficient at t = 0
+    for k, (_, e) in enumerate(ps.terms):
+        if e < 0:
+            raise ConfigError(f"{where}[{k}]: exponent {e!r} is negative, singular at t=0")
+
+
 def _parse_fode_block(data: Any, where: str) -> tuple[FodeProblem, float, bool]:
     data = _as_mapping(data, where)
     _check_keys(
@@ -268,6 +275,9 @@ def _parse_fode_block(data: Any, where: str) -> tuple[FodeProblem, float, bool]:
         ["kernel", "f0", "f0_file", "nonlinearity", "verify_linking"],
     )
     fdo = _parse_descriptor(data["fdo"], f"{where}.fdo")
+    for key in ("coefficients", "neg_coefficients"):
+        for i, coeff in enumerate(getattr(fdo, key)):
+            _require_regular_at_zero(coeff, f"{where}.fdo.{key}[{i}]")
     kernel = (
         _parse_power_sum(data["kernel"], f"{where}.kernel")
         if "kernel" in data else PowerSum(())
@@ -276,6 +286,7 @@ def _parse_fode_block(data: Any, where: str) -> tuple[FodeProblem, float, bool]:
         raise ConfigError(f"{where}: give exactly one of f0 (power-sum terms) or f0_file")
     if "f0" in data:
         f0: PowerSum | SampledFunction = _parse_power_sum(data["f0"], f"{where}.f0")
+        _require_regular_at_zero(f0, f"{where}.f0")
     else:
         times, values, _ = _read_csv_columns(
             Path(str(data["f0_file"])), f"{where}.f0_file"

@@ -168,7 +168,8 @@ def caputo_l1(f: SampledFunction, nu: float) -> SampledFunction:
 
     Piecewise-linear reconstruction of ``f`` makes the kernel moments exact,
     so constants differentiate to zero identically.  Works on arbitrary
-    strictly increasing grids; node 0 is pinned to 0.
+    strictly increasing grids; node 0 is pinned to 0.  Each row takes one
+    power per node pair, about N^2/2 powers for N nodes: O(N^2) overall.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError(f"caputo_l1 requires nu in (0, 1), got {nu!r}")
@@ -180,9 +181,15 @@ def caputo_l1(f: SampledFunction, nu: float) -> SampledFunction:
     out = np.zeros(len(t))
     for n in range(1, len(t)):
         # (t_n - t_k)^(1-nu) - (t_n - t_{k+1})^(1-nu) over intervals k < n
-        w = (t[n] - t[:n]) ** expo - (t[n] - t[1 : n + 1]) ** expo
+        w = _lag_power_steps(t[n] - t[: n + 1], expo)
         out[n] = scale * float(slopes[:n] @ w)
     return SampledFunction(f.times, tuple(out))
+
+
+def _lag_power_steps(u: np.ndarray, a: float) -> np.ndarray:
+    """``u[k]**a - u[k+1]**a`` for consecutive lags, one power per lag."""
+    p = u**a
+    return p[:-1] - p[1:]
 
 
 def _kernel_convolve(f: SampledFunction, kernel: PowerSum) -> SampledFunction:
@@ -190,21 +197,26 @@ def _kernel_convolve(f: SampledFunction, kernel: PowerSum) -> SampledFunction:
 
     The piecewise-linear interpolant of ``f`` is integrated against the
     power kernel exactly on every cell, so weakly singular kernels need no
-    special treatment beyond exponent > -1.
+    special treatment beyond exponent > -1.  Each row takes one power per
+    node pair for each of the two moment exponents of every kernel term,
+    about N^2 powers per term for N nodes: O(N^2) overall.
     """
     t = np.asarray(f.times)
     v = np.asarray(f.values)
     slopes = np.diff(v) / np.diff(t)
     out = np.zeros(len(t))
+    if not kernel.terms:
+        return SampledFunction(f.times, tuple(out))
+    (c0, e0), *rest = kernel.terms
     for n in range(1, len(t)):
-        u1 = t[n] - t[:n]
-        u0 = t[n] - t[1 : n + 1]
-        m0 = np.zeros(n)
-        m1 = np.zeros(n)
-        for c, e in kernel.terms:
-            m0 += c * (u1 ** (e + 1.0) - u0 ** (e + 1.0)) / (e + 1.0)
-            m1 += c * (u1 ** (e + 2.0) - u0 ** (e + 2.0)) / (e + 2.0)
-        out[n] = float(v[:n] @ m0 + slopes[:n] @ (u1 * m0 - m1))
+        # u[k] = t_n - t_k; cell k < n runs from lag u[k] down to u[k+1]
+        u = t[n] - t[: n + 1]
+        m0 = c0 * _lag_power_steps(u, e0 + 1.0) / (e0 + 1.0)
+        m1 = c0 * _lag_power_steps(u, e0 + 2.0) / (e0 + 2.0)
+        for c, e in rest:
+            m0 += c * _lag_power_steps(u, e + 1.0) / (e + 1.0)
+            m1 += c * _lag_power_steps(u, e + 2.0) / (e + 2.0)
+        out[n] = float(v[:n] @ m0 + slopes[:n] @ (u[:-1] * m0 - m1))
     return SampledFunction(f.times, tuple(out))
 
 

@@ -305,6 +305,45 @@ def test_fode_config_errors(tmp_path, capsys):
     assert "unknown key 'extra'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fdo_patch,f0,key",
+    [
+        ({}, [[2.0, 0.0], [1.0, -0.5]], "config.fode.f0[1]"),
+        (
+            {"orders": [0.5, 0.2], "coefficients": [[[1.0, 0.0]], [[1.0, -0.5]]]},
+            [[2.0, 0.0]],
+            "config.fode.fdo.coefficients[1]",
+        ),
+        (
+            {"neg_orders": [0.2], "neg_coefficients": [[[0.1, -0.5]]]},
+            [[2.0, 0.0]],
+            "config.fode.fdo.neg_coefficients[0]",
+        ),
+    ],
+    ids=["f0", "coefficient", "neg_coefficient"],
+)
+def test_negative_exponents_singular_at_zero_name_their_key(
+    tmp_path, capsys, fdo_patch, f0, key
+):
+    bad = fode_config(verify=False)
+    bad["fode"]["fdo"].update(fdo_patch)
+    bad["fode"]["f0"] = f0
+    cfg = write_config(tmp_path, bad)
+    for command in ("fode", "estimate"):
+        assert run([command, "--config", cfg, "--out", tmp_path / command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}") and "negative" in err
+        assert not (tmp_path / command).exists()
+
+
+def test_weakly_singular_memory_kernels_stay_accepted(tmp_path, capsys):
+    good = fode_config(verify=False)
+    good["fode"]["kernel"] = [[1.0, -0.5]]
+    cfg = write_config(tmp_path, good)
+    assert run(["fode", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert "solved 65 nodes" in capsys.readouterr().out
+
+
 def test_short_forcing_tabulation_names_the_f0_file_key(tmp_path, capsys):
     # the tabulation stops at t = 0.5 but the horizon is 1
     (tmp_path / "forcing.csv").write_text("t,f\n0.0,2.0\n0.25,2.0\n0.5,2.0\n")

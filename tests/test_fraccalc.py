@@ -11,6 +11,7 @@ from fracorder.fraccalc import (
     DegenerateObservationError,
     PowerSum,
     SampledFunction,
+    _kernel_convolve,
     beta_fn,
     binom_real,
     caputo_l1,
@@ -274,6 +275,100 @@ def test_rl_integral_rejects_nonpositive_order():
         rl_integral(f, 0.0)
     with pytest.raises(ValueError):
         rl_integral(f, -0.5)
+
+
+# ---------------------------------------------------------------------------
+# L1 and product-integration rows against the per-node reference
+
+
+def reference_caputo_l1(f, nu):
+    # the per-node formula written out directly: two powers per node pair
+    t, v = np.asarray(f.times), np.asarray(f.values)
+    slopes = np.diff(v) / np.diff(t)
+    scale = 1.0 / gamma_fn(2.0 - nu)
+    out = np.zeros(len(t))
+    for n in range(1, len(t)):
+        w = (t[n] - t[:n]) ** (1.0 - nu) - (t[n] - t[1 : n + 1]) ** (1.0 - nu)
+        out[n] = scale * float(slopes[:n] @ w)
+    return out
+
+
+def reference_kernel_convolve(f, kernel):
+    t, v = np.asarray(f.times), np.asarray(f.values)
+    slopes = np.diff(v) / np.diff(t)
+    out = np.zeros(len(t))
+    for n in range(1, len(t)):
+        u1 = t[n] - t[:n]
+        u0 = t[n] - t[1 : n + 1]
+        m0 = np.zeros(n)
+        m1 = np.zeros(n)
+        for c, e in kernel.terms:
+            m0 += c * (u1 ** (e + 1.0) - u0 ** (e + 1.0)) / (e + 1.0)
+            m1 += c * (u1 ** (e + 2.0) - u0 ** (e + 2.0)) / (e + 2.0)
+        out[n] = float(v[:n] @ m0 + slopes[:n] @ (u1 * m0 - m1))
+    return out
+
+
+def random_increasing_grid(n, seed):
+    steps = np.random.default_rng(seed).uniform(1e-4, 1.0, n)
+    return (0.0, *np.cumsum(steps).tolist())
+
+
+@pytest.mark.parametrize(
+    "n,g,beta,nu,theta",
+    [
+        (600, 1.0, 0.5, 0.5, 0.5),
+        (400, 2.0, 0.3, 0.3, 1.0),
+        (257, 3.5, 1.7, 0.85, 2.5),
+        (64, 1.5, 0.8, 0.1, 0.2),
+    ],
+)
+def test_l1_and_rl_rows_match_the_reference_bitwise_on_graded_grids(
+    n, g, beta, nu, theta
+):
+    times = tuple((j / n) ** g for j in range(n + 1))
+    f = SampledFunction.sample(lambda t: t**beta - 0.5, times)
+    assert np.array_equal(np.asarray(caputo_l1(f, nu).values), reference_caputo_l1(f, nu))
+    kernel = PowerSum(((1.0 / gamma_fn(theta), theta - 1.0),))
+    assert np.array_equal(
+        np.asarray(rl_integral(f, theta).values), reference_kernel_convolve(f, kernel)
+    )
+
+
+def test_l1_and_rl_rows_match_the_reference_bitwise_on_a_random_grid():
+    times = random_increasing_grid(300, seed=7)
+    f = SampledFunction.sample(lambda t: math.sin(t) + t**0.3, times)
+    kernel = PowerSum(((1.0 / gamma_fn(0.7), -0.3),))
+    assert np.array_equal(np.asarray(caputo_l1(f, 0.45).values), reference_caputo_l1(f, 0.45))
+    assert np.array_equal(
+        np.asarray(rl_integral(f, 0.7).values), reference_kernel_convolve(f, kernel)
+    )
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        # lags from the first four nodes round to 1 and 2: zero-width moments
+        (0.0, 1e-20, 2e-20, 3e-20, 1.0, 2.0),
+        random_increasing_grid(120, seed=3),
+    ],
+)
+def test_multi_term_kernel_convolution_matches_the_reference_bitwise(times):
+    # a negative first coefficient makes zero-width moments -0.0, where the
+    # reference's zeros-plus-moment rows hold +0.0; the outputs stay equal
+    kernel = PowerSum(((-1.3, -0.4), (0.7, 0.0), (2.1, 1.5)))
+    values = [(-1.0) ** k * (k % 3) for k in range(len(times))]
+    f = SampledFunction(times, values)
+    got = [x.hex() for x in _kernel_convolve(f, kernel).values]
+    want = [float(x).hex() for x in reference_kernel_convolve(f, kernel)]
+    assert got == want
+
+
+def test_empty_kernel_convolution_is_zero():
+    f = SampledFunction.sample(lambda t: 1.0 + t, uniform_grid(8))
+    assert [x.hex() for x in _kernel_convolve(f, PowerSum(())).values] == [
+        (0.0).hex()
+    ] * 9
 
 
 # ---------------------------------------------------------------------------
