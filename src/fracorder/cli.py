@@ -41,6 +41,7 @@ from fracorder.obsmodel import (
     preset_grid,
 )
 from fracorder.orderest import (
+    LOG_SELECTION_MODES,
     EstimateReport,
     RegGrids,
     SelectionFailureError,
@@ -59,7 +60,6 @@ from fracorder.scenarios import (
 __all__ = ["ConfigError", "main"]
 
 SCENARIOS = ("example71", "example72", "custom-observation-file", "fode")
-LOG_SELECTIONS = ("independent", "reuse_ratio")
 
 TABLE_HEADER = "nu_true,noise,epsilon,nu_ratio,nu_log"
 DIAG_HEADER = "i,j,lambda,that,nu_ratio,nu_log,flag"
@@ -515,9 +515,9 @@ def cmd_estimate(config_path: Path, out_dir: Path) -> int:
             f"config.scenario: expected one of {SCENARIOS}, got {scenario!r}"
         )
     log_selection = data.get("log_selection", "independent")
-    if log_selection not in LOG_SELECTIONS:
+    if log_selection not in LOG_SELECTION_MODES:
         raise ConfigError(
-            f"config.log_selection: expected one of {LOG_SELECTIONS}, "
+            f"config.log_selection: expected one of {LOG_SELECTION_MODES}, "
             f"got {log_selection!r}"
         )
 

@@ -30,6 +30,7 @@ from fracorder.tikhonov import (
 )
 
 __all__ = [
+    "LOG_SELECTION_MODES",
     "DegenerateEstimateError",
     "EstimateReport",
     "RegGrids",

@@ -2,8 +2,12 @@
 
 The fitted trajectory minimises the sum of squared misfits at the grid
 nodes (the exact initial value enters as node 0) plus ``lam`` times the
-squared weighted norm of the trajectory, leading to the normal equations
-``(Q^T Q + lam E) a = Q^T p`` with design matrix Q and Gram matrix E.
+squared weighted norm of the trajectory: the minimiser of
+``|Q a - p|^2 + lam a^T E a`` with design matrix Q and Gram matrix E,
+i.e. the solution of ``(Q^T Q + lam E) a = Q^T p``.  It is computed in
+standard form (whitened by the eigenvectors of E, filtered through one
+SVD), because ``Q^T Q`` squares the condition number of Q past what
+float64 can hold.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dsytrf, dsytrs
 
 from fracorder.fraccalc import PowerSum
 from fracorder.obsmodel import Observation
@@ -38,7 +41,7 @@ __all__ = [
 
 
 class SingularSystemError(RuntimeError):
-    """The regularized normal equations could not be solved."""
+    """The regularized fit is singular or has no finite solution."""
 
 
 @dataclass(frozen=True)
@@ -77,14 +80,27 @@ def _data_vector(obs: Observation) -> np.ndarray:
 def fit_all(
     obs: Observation, spec: BasisSpec, lams: Iterable[float]
 ) -> list[FitModel]:
-    """Solve the regularized normal equations once per penalty weight.
+    """Solve the regularized least-squares problem once per penalty weight.
 
-    ``Q``, ``E``, ``Q^T Q`` and ``Q^T p`` are built once for all weights.
-    Each ``Q^T Q + lam E`` is factored once (pivoted symmetric LDL^T,
-    LAPACK ``sytrf``); the factors serve the first solve and two refinement
-    passes whose residuals are accumulated in extended precision.
-    Deterministic for identical inputs.  Every ``lam`` must be strictly
+    Standard form (Hansen, *Rank-Deficient and Discrete Ill-Posed
+    Problems*, SIAM 1998, ch. 2).  The Gram matrix is scaled to unit
+    diagonal, ``E = D Es D``, and ``Es = V diag(w) V^T``; the substitution
+    ``a = D V w^-1/2 b`` turns the penalty into ``|b|^2`` and the design
+    into ``A = Q D V w^-1/2``.  One SVD ``A = U diag(s) Z^T`` then gives
+    every weight as the diagonal filter
+    ``a(lam) = D V w^-1/2 Z (s / (s^2 + lam) * U^T p)``, so ``Q^T Q`` is
+    never formed.  The scaling matters because the members' norms span
+    many orders of magnitude and the eigensolver's errors are relative to
+    the largest eigenvalue; unit diagonal is within a factor n of the best
+    diagonal scaling (van der Sluis, *Numer. Math.* 14, 1969).
+
+    The eigendecomposition and the SVD are computed once for all weights;
+    each weight repeats the same 1-D operations, so the result for one
+    ``lam`` does not depend on the others.  Every ``lam`` must be strictly
     positive; the unpenalized limit is exercised with tiny values instead.
+    A scaled eigenvalue at or below ``n * eps * w_max`` lies within the
+    backward error of the eigensolver, so it may be 0: the fit is then
+    singular.
     """
     lams = tuple(lams)
     for lam in lams:
@@ -93,9 +109,27 @@ def fit_all(
     q = design_matrix(obs, spec)
     e = gram_matrix(spec)
     p = _data_vector(obs)
-    qtq = q.T @ q
-    rhs = q.T @ p
-    return [_fit_one(q, p, qtq + lam * e, rhs, spec, lam) for lam in lams]
+    for arr in (q, e, p):
+        _require_finite(arr)
+    d = 1.0 / np.sqrt(np.diag(e))
+    w, v = np.linalg.eigh(d[:, None] * e * d)
+    if not w[0] > len(w) * np.finfo(float).eps * w[-1]:
+        raise SingularSystemError(
+            f"Gram matrix singular: scaled eigenvalues span [{w[0]!r}, {w[-1]!r}]"
+        )
+    unwhiten = d[:, None] * v / np.sqrt(w)
+    u, s, zt = np.linalg.svd(q @ unwhiten, full_matrices=False)
+    back = unwhiten @ zt.T
+    beta = u.T @ p
+    s2 = s * s
+    models = []
+    for lam in lams:
+        a = back @ (s / (s2 + lam) * beta)
+        if not np.isfinite(a).all():
+            raise SingularSystemError(f"non-finite solution at lam={lam!r}")
+        residual = float(np.linalg.norm(q @ a - p))
+        models.append(FitModel(spec, tuple(a.tolist()), float(lam), residual))
+    return models
 
 
 def fit(obs: Observation, spec: BasisSpec, lam: float) -> FitModel:
@@ -106,44 +140,6 @@ def fit(obs: Observation, spec: BasisSpec, lam: float) -> FitModel:
 def _require_finite(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-
-
-def _fit_one(q, p, lhs, rhs, spec, lam) -> FitModel:
-    # LAPACK is called directly: scipy.linalg.solve (1.17) leaks about
-    # 0.7 KB per call on ill-conditioned matrices, and sytrf/sytrs (upper,
-    # default workspace) give the same bits as its assume_a="sym" path
-    _require_finite(lhs)
-    ldu, ipiv, info = dsytrf(lhs)
-    if info > 0:
-        raise SingularSystemError(
-            f"normal equations singular at lam={lam!r}: zero pivot {info}"
-        )
-
-    def _solve(b: np.ndarray) -> np.ndarray:
-        _require_finite(b)
-        return dsytrs(ldu, ipiv, b)[0]
-
-    lhs_w = lhs.astype(np.longdouble)
-    rhs_w = rhs.astype(np.longdouble)
-
-    def _residual(a: np.ndarray) -> np.ndarray:
-        return (rhs_w - lhs_w @ a.astype(np.longdouble)).astype(float)
-
-    best = _solve(rhs)
-    r = _residual(best)
-    best_res = float(np.linalg.norm(r))
-    # fixed two refinement passes, extended-precision residuals
-    for _ in range(2):
-        cand = best + _solve(r)
-        r_cand = _residual(cand)
-        res = float(np.linalg.norm(r_cand))
-        if not np.all(np.isfinite(cand)) or res >= best_res:
-            break
-        best, best_res, r = cand, res, r_cand
-    if not np.all(np.isfinite(best)):
-        raise SingularSystemError(f"non-finite solution at lam={lam!r}")
-    residual = float(np.linalg.norm(q @ best - p))
-    return FitModel(spec, tuple(float(c) for c in best), float(lam), residual)
 
 
 def model_eval(m: FitModel, t: float) -> float:

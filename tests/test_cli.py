@@ -1,10 +1,15 @@
 """Command line front end: exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracorder
 from fracorder.cli import _build_observation, _parse_fode_block, main
 from fracorder.fodesolver import solve
 from fracorder.fraccalc import gamma_fn
@@ -358,3 +363,21 @@ def test_short_forcing_tabulation_names_the_f0_file_key(tmp_path, capsys):
     assert run(["estimate", "--config", cfg, "--out", tmp_path / "e"]) == 1
     err = capsys.readouterr().err
     assert "config.fode.f0_file" in err and "cover" in err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy is the only runtime dependency; every cold command pays what
+    # the import pulls in
+    src = str(Path(fracorder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import sys, fracorder.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

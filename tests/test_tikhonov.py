@@ -1,8 +1,10 @@
 """Penalized least-squares fitting against high-precision linear algebra."""
 
 import gc
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -248,3 +250,29 @@ def test_repeated_deep_penalty_fits_do_not_leak():
     finally:
         tracemalloc.stop()
     assert growth < 256 * 1024
+
+
+@pytest.fixture(scope="module")
+def oracle_check():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "oracle_check.py"
+    spec = importlib.util.spec_from_file_location("oracle_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLE_CELLS = [
+    (sweep_id, nu0, "N2", epsilon)
+    for sweep_id, epsilon in ((1, 0.03), (2, 0.03), (3, 0.04))
+    for nu0 in (0.1, 0.5, 0.9)
+]
+
+
+@pytest.mark.parametrize("cell", ORACLE_CELLS, ids=lambda c: "-".join(map(str, c)))
+def test_value_and_integral_tables_match_a_60_digit_solve(oracle_check, cell):
+    # every penalty weight and probe of the cell, against mpmath at 60
+    # digits from the same float64 Q, E and p; the bound is 12x the largest
+    # error over all 162 sweep cells (scripts/oracle_check.py)
+    row = oracle_check.cell_errors(*cell)
+    assert row["value_err"] <= 1e-5
+    assert row["integral_err"] <= 1e-5
