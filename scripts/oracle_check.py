@@ -49,7 +49,7 @@ def _max_rel_error(approx: np.ndarray, exact: mp.matrix) -> float:
 
 def table_errors(obs, spec, lams, thats) -> tuple[float, float]:
     """Largest relative errors of the value and integral tables of one cell."""
-    coeffs = np.array([m.coeffs for m in fit_all(obs, spec, lams)])
+    coeffs = fit_all(obs, spec, lams)
     vals_basis = np.array([eval_basis(spec, t) for t in thats])
     ints_basis = np.array([antideriv_basis(spec, t) for t in thats])
     values = coeffs @ vals_basis.T

@@ -16,6 +16,7 @@ import argparse
 import sys
 import time
 
+from fracorder.orderest import LOG_SELECTION_MODES
 from fracorder.refvalues import LOG_BAND, RATIO_BAND, SWEEP_IDS
 from fracorder.scenarios import sweep_rows
 
@@ -56,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sweep", type=int, choices=SWEEP_IDS, default=None,
                         help="run a single sweep instead of all three")
     parser.add_argument("--log-selection", default="reuse_ratio",
-                        choices=("independent", "reuse_ratio"))
+                        choices=LOG_SELECTION_MODES)
     args = parser.parse_args(argv)
 
     ids = (args.sweep,) if args.sweep is not None else SWEEP_IDS

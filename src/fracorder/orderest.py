@@ -174,6 +174,19 @@ def log_estimate(m: FitModel, psi0: float, fdo: FdoDescriptor, that: float) -> f
     return float(tab[0, 0])
 
 
+def _smallest_change(x: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """Per column, the first i >= 1 minimising ``|x[i] - x[i-1]|``, else 0.
+
+    Pairs with a ``bad`` end and NaN or +inf changes read +inf, like the
+    row put in front, so they never win and a column without others gives 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        change = np.abs(x[1:] - x[:-1])
+    change[bad[1:] | bad[:-1] | np.isnan(change)] = math.inf
+    none = np.full((1, *x.shape[1:]), math.inf)
+    return np.argmin(np.concatenate((none, change)), axis=0)
+
+
 def quasi_opt_select(table: np.ndarray, failed: np.ndarray) -> tuple[int, int]:
     """Doubly quasi-optimal cell of an estimate table.
 
@@ -184,33 +197,16 @@ def quasi_opt_select(table: np.ndarray, failed: np.ndarray) -> tuple[int, int]:
     """
     table = np.asarray(table, dtype=float)
     failed = np.asarray(failed, dtype=bool)
-    k1, k2 = table.shape
-    chosen_rows: list[int] = []
-    for j in range(k2):
-        best_i = -1
-        best_d = math.inf
-        for i in range(1, k1):
-            if failed[i, j] or failed[i - 1, j]:
-                continue
-            d = abs(table[i, j] - table[i - 1, j])
-            if d < best_d:
-                best_d = d
-                best_i = i
-        if best_i < 0:
-            raise SelectionFailureError(
-                f"no admissible consecutive pair in column {j}"
-            )
-        chosen_rows.append(best_i)
-    best_j = -1
-    best_d = math.inf
-    for j in range(1, k2):
-        d = abs(table[chosen_rows[j], j] - table[chosen_rows[j - 1], j - 1])
-        if d < best_d:
-            best_d = d
-            best_j = j
-    if best_j < 0:
+    _, k2 = table.shape
+    rows = _smallest_change(table, failed)
+    if not rows.all():
+        raise SelectionFailureError(
+            f"no admissible consecutive pair in column {int(np.argmin(rows))}"
+        )
+    best_j = int(_smallest_change(table[rows, np.arange(k2)], np.zeros(k2, bool)))
+    if best_j == 0:
         raise SelectionFailureError("no admissible difference in the outer pass")
-    return chosen_rows[best_j], best_j
+    return int(rows[best_j]), best_j
 
 
 @dataclass(frozen=True)
@@ -289,7 +285,7 @@ def run_pipeline(
         )
     fdo.require_positive_leading_coefficient(spec.t_end)
 
-    coeffs = np.array([m.coeffs for m in fit_all(obs, spec, lambdas)])
+    coeffs = fit_all(obs, spec, lambdas)
     probes = np.array(thats)
     values = coeffs @ np.array([eval_basis(spec, that) for that in thats]).T
     if _use_weighted_form(fdo):

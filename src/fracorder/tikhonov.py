@@ -7,7 +7,7 @@ squared weighted norm of the trajectory: the minimiser of
 i.e. the solution of ``(Q^T Q + lam E) a = Q^T p``.  It is computed in
 standard form (whitened by the eigenvectors of E, filtered through one
 SVD), because ``Q^T Q`` squares the condition number of Q past what
-float64 can hold.
+float64 can hold.  ``fit_all`` returns the penalty ladder as one array.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def _data_vector(obs: Observation) -> np.ndarray:
 
 def fit_all(
     obs: Observation, spec: BasisSpec, lams: Iterable[float]
-) -> list[FitModel]:
-    """Solve the regularized least-squares problem once per penalty weight.
+) -> np.ndarray:
+    """Coefficients of the regularized least-squares fit, one row per weight.
 
     Standard form (Hansen, *Rank-Deficient and Discrete Ill-Posed
     Problems*, SIAM 1998, ch. 2).  The Gram matrix is scaled to unit
@@ -94,13 +94,13 @@ def fit_all(
     the largest eigenvalue; unit diagonal is within a factor n of the best
     diagonal scaling (van der Sluis, *Numer. Math.* 14, 1969).
 
-    The eigendecomposition and the SVD are computed once for all weights;
-    each weight repeats the same 1-D operations, so the result for one
-    ``lam`` does not depend on the others.  Every ``lam`` must be strictly
-    positive; the unpenalized limit is exercised with tiny values instead.
-    A scaled eigenvalue at or below ``n * eps * w_max`` lies within the
-    backward error of the eigensolver, so it may be 0: the fit is then
-    singular.
+    Returns a read-only ``(len(lams), n)`` array.  Each row is its own 1-D
+    product ``back @ filter`` (one matrix-matrix product rounds otherwise),
+    so row i carries the bits of ``fit(obs, spec, lams[i])`` and does not
+    depend on the other weights.  Every ``lam`` must be strictly positive;
+    the unpenalized limit is exercised with tiny values instead.  A scaled
+    eigenvalue at or below ``n * eps * w_max`` lies within the backward
+    error of the eigensolver, so it may be 0: the fit is then singular.
     """
     lams = tuple(lams)
     for lam in lams:
@@ -120,21 +120,24 @@ def fit_all(
     unwhiten = d[:, None] * v / np.sqrt(w)
     u, s, zt = np.linalg.svd(q @ unwhiten, full_matrices=False)
     back = unwhiten @ zt.T
-    beta = u.T @ p
     s2 = s * s
-    models = []
-    for lam in lams:
-        a = back @ (s / (s2 + lam) * beta)
-        if not np.isfinite(a).all():
-            raise SingularSystemError(f"non-finite solution at lam={lam!r}")
-        residual = float(np.linalg.norm(q @ a - p))
-        models.append(FitModel(spec, tuple(a.tolist()), float(lam), residual))
-    return models
+    filt = s / (s2 + np.array(lams, dtype=float)[:, None]) * (u.T @ p)
+    coeffs = np.empty((len(lams), len(back)))
+    for row, f in zip(coeffs, filt):
+        np.matmul(back, f, out=row)
+    finite = np.isfinite(coeffs).all(axis=1)
+    if not finite.all():
+        lam = lams[int(np.argmin(finite))]
+        raise SingularSystemError(f"non-finite solution at lam={lam!r}")
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def fit(obs: Observation, spec: BasisSpec, lam: float) -> FitModel:
-    """The fit for one penalty weight; see ``fit_all``."""
-    return fit_all(obs, spec, (lam,))[0]
+    """The fit for one penalty weight, with its data misfit; see ``fit_all``."""
+    a = fit_all(obs, spec, (lam,))[0]
+    misfit = np.linalg.norm(design_matrix(obs, spec) @ a - _data_vector(obs))
+    return FitModel(spec, tuple(a.tolist()), float(lam), float(misfit))
 
 
 def _require_finite(a: np.ndarray) -> None:

@@ -1,10 +1,11 @@
 """Order estimators, sweep grids, and quasi-optimality selection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fracorder.fraccalc import PowerSum
@@ -177,9 +178,10 @@ def test_selection_skips_failed_pairs():
     failed = np.array(
         [[False, False], [True, False], [False, False], [False, False]]
     )
-    # column 0: the (0,1) and (1,2) pairs are inadmissible, leaving (2,3)
-    idx = quasi_opt_select(table, failed)
-    assert idx[0] in (1, 3)
+    # column 0: the (0,1) and (1,2) pairs are inadmissible, leaving (2,3);
+    # column 1 is flat, so its first pair wins there and the only outer
+    # difference selects column 1
+    assert quasi_opt_select(table, failed) == (1, 1)
 
 
 def test_selection_fails_on_a_fully_failed_column():
@@ -188,6 +190,73 @@ def test_selection_fails_on_a_fully_failed_column():
     failed[:, 1] = True
     with pytest.raises(SelectionFailureError, match="column 1"):
         quasi_opt_select(table, failed)
+
+
+def loop_quasi_opt_select(table, failed):
+    """The selection as a double loop over the table entries: the reference."""
+    k1, k2 = table.shape
+    chosen_rows = []
+    for j in range(k2):
+        best_i = -1
+        best_d = math.inf
+        for i in range(1, k1):
+            if failed[i, j] or failed[i - 1, j]:
+                continue
+            d = abs(table[i, j] - table[i - 1, j])
+            if d < best_d:
+                best_d = d
+                best_i = i
+        if best_i < 0:
+            raise SelectionFailureError(
+                f"no admissible consecutive pair in column {j}"
+            )
+        chosen_rows.append(best_i)
+    best_j = -1
+    best_d = math.inf
+    for j in range(1, k2):
+        d = abs(table[chosen_rows[j], j] - table[chosen_rows[j - 1], j - 1])
+        if d < best_d:
+            best_d = d
+            best_j = j
+    if best_j < 0:
+        raise SelectionFailureError("no admissible difference in the outer pass")
+    return chosen_rows[best_j], best_j
+
+
+# few distinct values, so exact ties are common; NaN and +-inf as the
+# estimate kernels leave them, and +-1.7e308, whose differences overflow
+SELECTION_ENTRIES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1.0, 2.0, math.nan, math.inf, -math.inf, 1.7e308, -1.7e308]
+    ),
+    st.floats(-4.0, 4.0),
+)
+
+
+@st.composite
+def selection_tables(draw):
+    k1, k2 = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    size = k1 * k2
+    entries = draw(st.lists(SELECTION_ENTRIES, min_size=size, max_size=size))
+    failed = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return np.reshape(entries, (k1, k2)), np.reshape(failed, (k1, k2))
+
+
+@given(selection_tables())
+@example((np.ones((3, 2)), np.array([[0, 1], [0, 1], [0, 0]], dtype=bool)))
+@example((np.array([[1.7e308, 0.0], [1.7e308, -1.7e308]]), np.zeros((2, 2), bool)))
+def test_selection_matches_the_loop_reference(case):
+    table, failed = case
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = loop_quasi_opt_select(table, failed)
+    except SelectionFailureError as exc:
+        with pytest.raises(SelectionFailureError, match=f"^{re.escape(str(exc))}$"):
+            quasi_opt_select(table, failed)
+    else:
+        got = quasi_opt_select(table, failed)
+        assert got == expected
+        assert all(type(i) is int for i in got)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Penalized least-squares fitting against high-precision linear algebra."""
 
+import dataclasses
 import gc
 import importlib.util
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from fracorder.obsmodel import (
     TimeGrid,
     example71_observation,
 )
+from fracorder.orderest import default_grids
 from fracorder.regbasis import (
     BasisSpec,
     SingularBasisWarning,
@@ -218,7 +221,10 @@ def test_weighted_integral_adds_the_power_sum_product_terms_in_order():
 def test_fit_all_matches_one_fit_per_weight():
     obs, spec = stock_problem()
     lams = (1.0, 1e-6, 2.0**-55)
-    assert fit_all(obs, spec, lams) == [fit(obs, spec, lam) for lam in lams]
+    ladder = fit_all(obs, spec, lams)
+    assert [row.tolist() for row in ladder] == [
+        list(fit(obs, spec, lam).coeffs) for lam in lams
+    ]
     with pytest.raises(ValueError):
         fit_all(obs, spec, (1.0, 0.0))
 
@@ -276,3 +282,56 @@ def test_value_and_integral_tables_match_a_60_digit_solve(oracle_check, cell):
     row = oracle_check.cell_errors(*cell)
     assert row["value_err"] <= 1e-5
     assert row["integral_err"] <= 1e-5
+
+
+def reference_ladder(obs, spec, lams):
+    """Standard-form coefficients with one filter and one product per weight."""
+    q = design_matrix(obs, spec)
+    e = gram_matrix(spec)
+    p = np.array([obs.psi0, *obs.values])
+    d = 1.0 / np.sqrt(np.diag(e))
+    w, v = np.linalg.eigh(d[:, None] * e * d)
+    unwhiten = d[:, None] * v / np.sqrt(w)
+    u, s, zt = np.linalg.svd(q @ unwhiten, full_matrices=False)
+    back = unwhiten @ zt.T
+    beta = u.T @ p
+    s2 = s * s
+    rows = []
+    for lam in lams:
+        a = back @ (s / (s2 + lam) * beta)
+        if not np.isfinite(a).all():
+            raise SingularSystemError(f"non-finite solution at lam={lam!r}")
+        rows.append(a.tolist())
+    return rows
+
+
+def sweep_problem(sweep_id, nu0, noise, epsilon):
+    obs = sweep_observation(sweep_id, nu0, noise, epsilon)
+    spec = sweep_basis_spec(sweep_id, nu0, obs.grid.t_end)
+    return obs, spec, default_grids(obs.grid.t_end).lambda_values()
+
+
+@pytest.mark.parametrize("cell", ORACLE_CELLS, ids=lambda c: "-".join(map(str, c)))
+def test_fit_all_keeps_the_bits_of_the_per_weight_loop(cell):
+    # fit and fit_all share their code, so only a copy of the loop can show
+    # that the 2-D filter and the row products kept every bit
+    obs, spec, lams = sweep_problem(*cell)
+    ladder = fit_all(obs, spec, lams)
+    assert ladder.shape == (len(lams), spec.total_size)
+    assert not ladder.flags.writeable
+    assert repr(ladder.tolist()) == repr(reference_ladder(obs, spec, lams))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("step", [1, -1])
+def test_fit_all_names_the_first_non_finite_weight(step):
+    # scaled up, these data overflow the fit on stock rows 7-15 only, so the
+    # two orders of the ladder name different weights
+    obs, spec, lams = sweep_problem(1, 0.5, "N2", 0.03)
+    big = dataclasses.replace(obs, values=tuple(v * 2e306 for v in obs.values))
+    lams, first = lams[::step], 7 if step > 0 else 59 - 15
+    with pytest.raises(SingularSystemError) as ref:
+        reference_ladder(big, spec, lams)
+    assert str(ref.value) == f"non-finite solution at lam={lams[first]!r}"
+    with pytest.raises(SingularSystemError, match=f"^{re.escape(str(ref.value))}$"):
+        fit_all(big, spec, lams)
