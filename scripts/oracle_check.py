@@ -30,7 +30,7 @@ import numpy as np
 
 from fracorder.orderest import default_grids
 from fracorder.refvalues import SWEEP_IDS, sweep_cells
-from fracorder.regbasis import antideriv_basis, eval_basis, gram_matrix
+from fracorder.regbasis import antideriv_matrix, basis_matrix, gram_matrix
 from fracorder.scenarios import sweep_basis_spec, sweep_observation
 from fracorder.tikhonov import design_matrix, fit_all
 
@@ -50,8 +50,8 @@ def _max_rel_error(approx: np.ndarray, exact: mp.matrix) -> float:
 def table_errors(obs, spec, lams, thats) -> tuple[float, float]:
     """Largest relative errors of the value and integral tables of one cell."""
     coeffs = fit_all(obs, spec, lams)
-    vals_basis = np.array([eval_basis(spec, t) for t in thats])
-    ints_basis = np.array([antideriv_basis(spec, t) for t in thats])
+    vals_basis = basis_matrix(spec, thats)
+    ints_basis = antideriv_matrix(spec, thats)
     values = coeffs @ vals_basis.T
     integrals = coeffs @ ints_basis.T
     q = design_matrix(obs, spec)

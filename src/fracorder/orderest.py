@@ -13,13 +13,14 @@ by the data, and its flat spots there say nothing about the order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from fracorder.obsmodel import FdoDescriptor, FdoKind, Observation
-from fracorder.regbasis import BasisSpec, antideriv_basis, eval_basis
+from fracorder.regbasis import BasisSpec, antideriv_matrix, basis_matrix
 from fracorder.tikhonov import (
     FitModel,
     fit_all,
@@ -243,6 +244,14 @@ class EstimateReport:
             raise ValueError("log selection is not a grid member")
 
 
+@functools.lru_cache(maxsize=128)
+def _probe_table(matrix, spec: BasisSpec, thats: tuple[float, ...]) -> np.ndarray:
+    """Read-only ``matrix(spec, thats).T``, shared by the cells of one basis."""
+    table = matrix(spec, thats)
+    table.flags.writeable = False
+    return table.T
+
+
 def _as_nested(a: np.ndarray) -> tuple[tuple, ...]:
     return tuple(tuple(row) for row in a.tolist())
 
@@ -263,7 +272,10 @@ def run_pipeline(
     decrease, these are a prefix of the probe grid, and fewer than two of
     them is a ``ValueError``.  The tables still cover the whole grid.
     Selection failures propagate with the full tables attached as
-    diagnostics.
+    diagnostics.  The fit system is cached per ``(spec, obs.grid.points)``,
+    the value, integral and weighted-power tables per ``(spec, thats)`` and
+    ``(spec, fdo.r0, thats)``: the cells of a sweep that share a basis and
+    grid build them once, one call (``fracorder estimate``) gains nothing.
     """
     if log_selection not in LOG_SELECTION_MODES:
         raise ValueError(
@@ -287,11 +299,11 @@ def run_pipeline(
 
     coeffs = fit_all(obs, spec, lambdas)
     probes = np.array(thats)
-    values = coeffs @ np.array([eval_basis(spec, that) for that in thats]).T
+    values = coeffs @ _probe_table(basis_matrix, spec, thats)
     if _use_weighted_form(fdo):
         integrals = weighted_integral_table(coeffs, spec, fdo.r0, thats)
     else:
-        integrals = coeffs @ np.array([antideriv_basis(spec, that) for that in thats]).T
+        integrals = coeffs @ _probe_table(antideriv_matrix, spec, thats)
     ratio_tab, ratio_bad = _ratio_kernel(values, integrals, obs.psi0, fdo, probes)
     log_tab, log_bad = _log_kernel(values, obs.psi0, fdo, probes)
 

@@ -23,7 +23,9 @@ __all__ = [
     "BasisSpec",
     "SingularBasisWarning",
     "antideriv_basis",
+    "antideriv_matrix",
     "basis_functions",
+    "basis_matrix",
     "eval_basis",
     "gram_matrix",
     "initial_power_exponents",
@@ -212,3 +214,13 @@ def antideriv_basis(spec: BasisSpec, t: float) -> np.ndarray:
     """Antiderivative values ``int_0^t h_l`` for all members, closed form."""
     _check_window(spec, t)
     return np.array([fn.antiderivative(t) for fn in basis_functions(spec)])
+
+
+def basis_matrix(spec: BasisSpec, ts: tuple[float, ...]) -> np.ndarray:
+    """``eval_basis`` at each time in ``ts``, one row per time."""
+    return np.array([eval_basis(spec, t) for t in ts])
+
+
+def antideriv_matrix(spec: BasisSpec, ts: tuple[float, ...]) -> np.ndarray:
+    """``antideriv_basis`` at each time in ``ts``, one row per time."""
+    return np.array([antideriv_basis(spec, t) for t in ts])

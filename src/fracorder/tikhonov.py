@@ -12,6 +12,7 @@ float64 can hold.  ``fit_all`` returns the penalty ladder as one array.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,6 +24,7 @@ from fracorder.regbasis import (
     BasisSpec,
     antideriv_basis,
     basis_functions,
+    basis_matrix,
     eval_basis,
     gram_matrix,
 )
@@ -64,17 +66,40 @@ class FitModel:
 
 def design_matrix(obs: Observation, spec: BasisSpec) -> np.ndarray:
     """Basis values at t=0 (row 0) and at every observation node."""
+    _check_grid(obs, spec)
+    return basis_matrix(spec, (0.0, *obs.grid.points))
+
+
+def _check_grid(obs: Observation, spec: BasisSpec) -> None:
     if obs.grid.t_end > spec.t_end:
         raise ValueError(
             f"grid extends to {obs.grid.t_end}, beyond the basis window {spec.t_end}"
         )
-    rows = [eval_basis(spec, 0.0)]
-    rows.extend(eval_basis(spec, t) for t in obs.grid.points)
-    return np.vstack(rows)
 
 
 def _data_vector(obs: Observation) -> np.ndarray:
     return np.array([obs.psi0, *obs.values])
+
+
+@functools.lru_cache(maxsize=128)
+def _standard_form(spec: BasisSpec, points: tuple[float, ...]) -> tuple:
+    """Read-only ``(q, back, u, s)`` of ``fit_all``; a failed build is not cached."""
+    q = basis_matrix(spec, (0.0, *points))
+    e = gram_matrix(spec)
+    for arr in (q, e):
+        _require_finite(arr)
+    d = 1.0 / np.sqrt(np.diag(e))
+    w, v = np.linalg.eigh(d[:, None] * e * d)
+    if not w[0] > len(w) * np.finfo(float).eps * w[-1]:
+        raise SingularSystemError(
+            f"Gram matrix singular: scaled eigenvalues span [{w[0]!r}, {w[-1]!r}]"
+        )
+    unwhiten = d[:, None] * v / np.sqrt(w)
+    u, s, zt = np.linalg.svd(q @ unwhiten, full_matrices=False)
+    system = (q, unwhiten @ zt.T, u, s)
+    for arr in system:
+        arr.flags.writeable = False
+    return system
 
 
 def fit_all(
@@ -94,6 +119,11 @@ def fit_all(
     the largest eigenvalue; unit diagonal is within a factor n of the best
     diagonal scaling (van der Sluis, *Numer. Math.* 14, 1969).
 
+    Everything up to the SVD depends only on ``(spec, obs.grid.points)``
+    and is built once per such pair, shared by every observation on that
+    grid; the checks on the data, ``U^T p``, the filters and the back
+    products are per call.  A build that raises is not cached.
+
     Returns a read-only ``(len(lams), n)`` array.  Each row is its own 1-D
     product ``back @ filter`` (one matrix-matrix product rounds otherwise),
     so row i carries the bits of ``fit(obs, spec, lams[i])`` and does not
@@ -106,22 +136,11 @@ def fit_all(
     for lam in lams:
         if not lam > 0:
             raise ValueError(f"fit requires lam > 0, got {lam!r}")
-    q = design_matrix(obs, spec)
-    e = gram_matrix(spec)
+    _check_grid(obs, spec)
     p = _data_vector(obs)
-    for arr in (q, e, p):
-        _require_finite(arr)
-    d = 1.0 / np.sqrt(np.diag(e))
-    w, v = np.linalg.eigh(d[:, None] * e * d)
-    if not w[0] > len(w) * np.finfo(float).eps * w[-1]:
-        raise SingularSystemError(
-            f"Gram matrix singular: scaled eigenvalues span [{w[0]!r}, {w[-1]!r}]"
-        )
-    unwhiten = d[:, None] * v / np.sqrt(w)
-    u, s, zt = np.linalg.svd(q @ unwhiten, full_matrices=False)
-    back = unwhiten @ zt.T
-    s2 = s * s
-    filt = s / (s2 + np.array(lams, dtype=float)[:, None]) * (u.T @ p)
+    _require_finite(p)
+    _, back, u, s = _standard_form(spec, obs.grid.points)
+    filt = s / (s * s + np.array(lams, dtype=float)[:, None]) * (u.T @ p)
     coeffs = np.empty((len(lams), len(back)))
     for row, f in zip(coeffs, filt):
         np.matmul(back, f, out=row)
@@ -136,7 +155,8 @@ def fit_all(
 def fit(obs: Observation, spec: BasisSpec, lam: float) -> FitModel:
     """The fit for one penalty weight, with its data misfit; see ``fit_all``."""
     a = fit_all(obs, spec, (lam,))[0]
-    misfit = np.linalg.norm(design_matrix(obs, spec) @ a - _data_vector(obs))
+    q = _standard_form(spec, obs.grid.points)[0]
+    misfit = np.linalg.norm(q @ a - _data_vector(obs))
     return FitModel(spec, tuple(a.tolist()), float(lam), float(misfit))
 
 
@@ -178,12 +198,27 @@ def weighted_integral_table(
     entry carries the bits of that ``PowerSum`` product.
     """
     total = np.zeros((len(coeffs), len(thats)))
-    for ca, ea in r0.terms:
-        for col, fn in zip(coeffs.T, basis_functions(spec)):
-            for cb, eb in fn.terms:
-                c = ca * (col * cb)
-                if not np.isfinite(c).all():
-                    raise ValueError("weighted integrand coefficient is not finite")
-                e1 = ea + eb + 1.0
-                total = total + c[:, None] * np.array([t**e1 for t in thats]) / e1
+    for (ca, k, cb, e1), powers in _weighted_terms(spec, r0, tuple(thats)):
+        c = ca * (coeffs[:, k] * cb)
+        if not np.isfinite(c).all():
+            raise ValueError("weighted integrand coefficient is not finite")
+        total = total + c[:, None] * powers / e1
     return total
+
+
+@functools.lru_cache(maxsize=128)
+def _weighted_terms(spec: BasisSpec, r0: PowerSum, thats: tuple[float, ...]) -> tuple:
+    """Terms of ``r0 * model`` in expansion order, each with its ``that**e1`` row.
+
+    A term ``(ca, k, cb, e1)`` pairs the r0 term ``ca t**ea`` with the
+    monomial ``cb t**eb`` of member k, ``e1 = ea + eb + 1``; rows are read-only.
+    """
+    terms = [
+        (ca, k, cb, ea + eb + 1.0)
+        for ca, ea in r0.terms
+        for k, fn in enumerate(basis_functions(spec))
+        for cb, eb in fn.terms
+    ]
+    powers = np.array([[t**e1 for t in thats] for *_, e1 in terms])
+    powers.flags.writeable = False
+    return tuple(zip(terms, powers))

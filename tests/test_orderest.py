@@ -19,13 +19,19 @@ from fracorder.orderest import (
     DegenerateEstimateError,
     RegGrids,
     SelectionFailureError,
+    _probe_table,
     default_grids,
     log_estimate,
     quasi_opt_select,
     ratio_estimate,
     run_pipeline,
 )
-from fracorder.regbasis import BasisSpec, initial_power_exponents
+from fracorder.regbasis import (
+    BasisSpec,
+    antideriv_matrix,
+    basis_matrix,
+    initial_power_exponents,
+)
 from fracorder.scenarios import run_sweep_cell, sweep_basis_spec, sweep_observation
 from fracorder.tikhonov import (
     FitModel,
@@ -398,3 +404,27 @@ def test_pipeline_tables_match_the_scalar_estimators(sweep_id, cell, log_selecti
                 else:
                     assert repr(table[i][j]) == repr(ref)
                     assert repr(table[i][j]) == repr(estimate(m, obs.psi0, fdo, that))
+
+
+@pytest.mark.parametrize(
+    "sweep_id,cell",
+    [(1, (0.5, "N2", 0.3)), (2, (0.5, "N2", 0.3)), (3, (0.5, "N2", 0.04))],
+)
+def test_pipeline_reports_do_not_depend_on_the_cache(cold_caches, sweep_id, cell):
+    # a cold build, then another cell of the same basis and grid, then the
+    # first cell again from the warm cache: every report field the same
+    cold = repr(run_sweep_cell(sweep_id, *cell))
+    run_sweep_cell(sweep_id, cell[0], "N1", 0.03 if sweep_id < 3 else 0.04)
+    assert repr(run_sweep_cell(sweep_id, *cell)) == cold
+
+
+def test_cached_probe_tables_are_read_only():
+    obs = sweep_observation(1, 0.5, "N2", 0.3)
+    spec = sweep_basis_spec(1, 0.5, obs.grid.t_end)
+    thats = default_grids(obs.grid.t_end).that_values()
+    run_sweep_cell(1, 0.5, "N2", 0.3)
+    for matrix in (basis_matrix, antideriv_matrix):
+        table = _probe_table(matrix, spec, thats)
+        assert repr(table.tolist()) == repr(matrix(spec, thats).T.tolist())
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0

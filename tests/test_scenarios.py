@@ -5,7 +5,7 @@ import pytest
 from fracorder.obsmodel import FdoKind
 from fracorder.refvalues import SWEEP_IDS, expected_pair, sweep_cells
 from fracorder.regbasis import initial_power_exponents
-from fracorder.scenarios import sweep_basis_spec, sweep_observation
+from fracorder.scenarios import sweep_basis_spec, sweep_observation, sweep_rows
 
 
 def test_sweep_ids():
@@ -54,3 +54,13 @@ def test_sweep_basis_seeds():
     assert sweep_basis_spec(1, 0.5, 0.002).power_exponents == initial_power_exponents(0.25)
     assert sweep_basis_spec(2, 0.5, 0.002).power_exponents == initial_power_exponents(0.25)
     assert sweep_basis_spec(3, 0.5, 0.002).power_exponents == initial_power_exponents(0.1)
+
+
+def test_threads_filling_a_cold_cache_give_the_sequential_rows(cold_caches, monkeypatch):
+    # consecutive cells share a basis, so the workers build the same cached
+    # systems at the same time
+    monkeypatch.setenv("FRACORDER_THREADS", "0")
+    sequential = repr(sweep_rows(1))
+    cold_caches()
+    monkeypatch.setenv("FRACORDER_THREADS", "4")
+    assert repr(sweep_rows(1)) == sequential

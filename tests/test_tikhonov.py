@@ -31,6 +31,8 @@ from fracorder.scenarios import sweep_basis_spec, sweep_observation
 from fracorder.tikhonov import (
     FitModel,
     SingularSystemError,
+    _standard_form,
+    _weighted_terms,
     design_matrix,
     fit,
     fit_all,
@@ -60,6 +62,9 @@ def test_design_matrix_rejects_grid_beyond_window():
     small = BasisSpec((0.4,), t_end=obs.grid.t_end / 2)
     with pytest.raises(ValueError):
         design_matrix(obs, small)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="beyond the basis window"):
+            fit_all(obs, small, (1.0,))
 
 
 def test_fit_requires_positive_penalty():
@@ -231,10 +236,12 @@ def test_fit_all_matches_one_fit_per_weight():
 
 @pytest.mark.parametrize("lam", [1.0, 1e-6, 2.0**-55])
 def test_duplicate_power_members_make_the_fit_singular(lam):
+    # a failed build is not cached, so the second call warns and raises too
     obs, _ = stock_problem()
     spec = BasisSpec((0.4, 0.4, 0.2), t_end=obs.grid.t_end)
-    with pytest.warns(SingularBasisWarning), pytest.raises(SingularSystemError):
-        fit(obs, spec, lam)
+    for _ in range(2):
+        with pytest.warns(SingularBasisWarning), pytest.raises(SingularSystemError):
+            fit(obs, spec, lam)
 
 
 def test_repeated_deep_penalty_fits_do_not_leak():
@@ -335,3 +342,28 @@ def test_fit_all_names_the_first_non_finite_weight(step):
     assert str(ref.value) == f"non-finite solution at lam={lams[first]!r}"
     with pytest.raises(SingularSystemError, match=f"^{re.escape(str(ref.value))}$"):
         fit_all(big, spec, lams)
+
+
+def test_fits_that_share_a_grid_keep_their_own_data(cold_caches):
+    # the cached system is built from the first observation on its grid; it
+    # must carry nothing of that observation into the next one
+    obs_a, spec, lams = sweep_problem(1, 0.5, "N1", 0.03)
+    obs_b = sweep_observation(1, 0.5, "N3", 0.3)
+    assert obs_b.grid == obs_a.grid and obs_b.values != obs_a.values
+    for obs in (obs_a, obs_b, obs_a):
+        ladder = fit_all(obs, spec, lams)
+        assert repr(ladder.tolist()) == repr(reference_ladder(obs, spec, lams))
+
+
+def test_cached_arrays_are_read_only_and_design_matrix_is_a_fresh_copy():
+    obs, spec = stock_problem()
+    r0 = PowerSum(((1.5, 0.0), (-2.0, 1.0)))
+    model_integral_weighted(fit(obs, spec, 1e-3), r0, spec.t_end)
+    powers = [row for _, row in _weighted_terms(spec, r0, (spec.t_end,))]
+    for arr in (*_standard_form(spec, obs.grid.points), *powers):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    q = design_matrix(obs, spec)
+    assert q.flags.writeable
+    assert not np.shares_memory(q, _standard_form(spec, obs.grid.points)[0])
+    assert repr(q.tolist()) == repr(_standard_form(spec, obs.grid.points)[0].tolist())
